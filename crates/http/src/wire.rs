@@ -132,6 +132,25 @@ pub fn parse_request(input: &[u8], client: ClientIp) -> Result<Request, HttpErro
 /// Parses a response from wire bytes.
 pub fn parse_response(input: &[u8]) -> Result<Response, HttpError> {
     let (start, headers, body) = split_message(input)?;
+    build_response(start, headers, body)
+}
+
+/// Parses only the head of a response: the status line and headers,
+/// with an empty body whatever `Content-Length` declares. This is the
+/// shape of an answer that carries no body by rule (RFC 9112 §6.3) — a
+/// response to `HEAD`, or any 1xx, 204 or 304 — whose `Content-Length`
+/// describes a body that is never sent. Bytes after the header block
+/// are ignored.
+pub fn parse_response_head(input: &[u8]) -> Result<Response, HttpError> {
+    let (start, headers, _, _) = split_head(input)?;
+    build_response(start, headers, &[])
+}
+
+fn build_response(
+    start: &str,
+    headers: Vec<(&str, &str)>,
+    body: &[u8],
+) -> Result<Response, HttpError> {
     let mut parts = start.splitn(3, ' ');
     let version = parts
         .next()
@@ -153,6 +172,10 @@ pub fn parse_response(input: &[u8]) -> Result<Response, HttpError> {
 /// name/value pairs, and body, all borrowed from the input buffer.
 type BorrowedMessage<'a> = (&'a str, Vec<(&'a str, &'a str)>, &'a [u8]);
 
+/// A parsed header block: start line, header name/value pairs, where
+/// the body starts, and the first `Content-Length` value.
+type BorrowedHead<'a> = (&'a str, Vec<(&'a str, &'a str)>, usize, Option<&'a str>);
+
 /// Splits raw bytes into (start line, headers, body), enforcing
 /// `Content-Length` when present.
 ///
@@ -163,6 +186,28 @@ type BorrowedMessage<'a> = (&'a str, Vec<(&'a str, &'a str)>, &'a [u8]);
 /// Error paths still allocate their diagnostic strings; they are off the
 /// hot path by definition.
 fn split_message(input: &[u8]) -> Result<BorrowedMessage<'_>, HttpError> {
+    let (start, headers, body_start, content_length) = split_head(input)?;
+    let available = &input[body_start.min(input.len())..];
+    let body = match content_length {
+        Some(raw) => {
+            let n: usize = raw
+                .parse()
+                .map_err(|_| HttpError::InvalidContentLength(raw.to_string()))?;
+            if available.len() < n {
+                return Err(HttpError::TruncatedBody {
+                    expected: n,
+                    actual: available.len(),
+                });
+            }
+            &available[..n]
+        }
+        None => available,
+    };
+    Ok((start, headers, body))
+}
+
+/// Splits the header block off raw bytes, borrowing every piece.
+fn split_head(input: &[u8]) -> Result<BorrowedHead<'_>, HttpError> {
     let head_end = find_header_end(input).ok_or(HttpError::UnexpectedEof)?;
     let head = std::str::from_utf8(&input[..head_end])
         .map_err(|_| HttpError::InvalidHeader("non-UTF8 header block".to_string()))?;
@@ -190,24 +235,7 @@ fn split_message(input: &[u8]) -> Result<BorrowedMessage<'_>, HttpError> {
         }
         headers.push((name, value));
     }
-    let body_start = head_end + 4;
-    let available = &input[body_start.min(input.len())..];
-    let body = match content_length {
-        Some(raw) => {
-            let n: usize = raw
-                .parse()
-                .map_err(|_| HttpError::InvalidContentLength(raw.to_string()))?;
-            if available.len() < n {
-                return Err(HttpError::TruncatedBody {
-                    expected: n,
-                    actual: available.len(),
-                });
-            }
-            &available[..n]
-        }
-        None => available,
-    };
-    Ok((start, headers, body))
+    Ok((start, headers, head_end + 4, content_length))
 }
 
 fn find_header_end(input: &[u8]) -> Option<usize> {
@@ -323,5 +351,21 @@ mod tests {
         let raw = b"HTTP/1.1 404 Not Found\r\n\r\n";
         let r = parse_response(raw).unwrap();
         assert_eq!(r.status(), StatusCode::NOT_FOUND);
+    }
+
+    #[test]
+    fn response_head_keeps_a_declared_length_without_its_body() {
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Type: image/png\r\nContent-Length: 100\r\n\r\n";
+        assert!(matches!(
+            parse_response(raw),
+            Err(HttpError::TruncatedBody { .. })
+        ));
+        let r = parse_response_head(raw).unwrap();
+        assert_eq!(r.status(), StatusCode::OK);
+        assert_eq!(r.headers().get("Content-Length"), Some("100"));
+        assert!(r.body().is_empty());
+        let mut wire = Vec::new();
+        serialize_response_into(&r, &mut wire);
+        assert_eq!(wire, raw, "the head round-trips byte for byte");
     }
 }

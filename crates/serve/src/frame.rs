@@ -4,15 +4,18 @@
 //! fragments. This module answers the one question the codec cannot:
 //! *how many buffered bytes make up the next complete message?* A frame
 //! is the header block (terminated by the blank line) plus a body of
-//! exactly `Content-Length` bytes, or — since PR 8 — a chunked
+//! exactly `Content-Length` bytes, or a chunked
 //! (`Transfer-Encoding: chunked`) body, measured chunk by chunk to its
-//! terminal `0\r\n\r\n`. Responses without either are delimited by
-//! connection close, which the server handles at its EOF path.
+//! terminal `0\r\n\r\n`. A response with neither runs to connection
+//! close, and a response that carries no body by rule (an answer to
+//! `HEAD`, any 1xx, 204 or 304) ends at its blank line whatever its
+//! headers declare ([`ResponseHead::body_framing`]).
 //!
-//! Buffered callers use [`measure`] (whole frame) and [`dechunk`]
-//! (rebuild a chunked message as identity-framed for the codec); the
-//! streaming path uses [`response_head`] + [`BodyDecoder`] to consume a
-//! body incrementally in O(chunk) memory.
+//! Requests are measured whole by [`measure`]. Responses are framed from
+//! their parsed head: [`response_head`] first, then either
+//! [`message_len`] for a buffered message (with [`dechunk`] rebuilding a
+//! chunked one as identity-framed for the codec) or [`BodyDecoder`] to
+//! consume a streamed body incrementally in O(chunk) memory.
 
 use botwall_http::HttpError;
 
@@ -69,7 +72,8 @@ pub struct ResponseHead {
     /// The `Content-Type` value, if present (lowercased, parameters
     /// stripped: `text/html; charset=utf-8` reads as `text/html`).
     pub content_type: Option<String>,
-    /// How the body is delimited.
+    /// How the headers say the body is delimited (see
+    /// [`ResponseHead::body_framing`] for the bodies a rule omits).
     pub framing: BodyFraming,
     /// Whether the peer announced `Connection: close` (matched
     /// case-insensitively, token by token) — after this response the
@@ -213,41 +217,62 @@ pub fn measure(buf: &[u8]) -> Result<Framing, HttpError> {
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::InvalidHeader("non-UTF8 header block".to_string()))?;
     let body_start = head_end + 4;
-    match head_framing(head, BodyFraming::Length(0))? {
-        BodyFraming::Chunked => match measure_chunks(buf, body_start)? {
-            Some(end) => {
-                if end > MAX_FRAME_BYTES {
-                    return Err(HttpError::InvalidContentLength(format!(
-                        "message of {end} bytes exceeds {MAX_FRAME_BYTES}"
-                    )));
-                }
-                Ok(Framing::Complete { len: end })
-            }
-            None => {
-                if buf.len() > MAX_FRAME_BYTES {
-                    return Err(HttpError::InvalidContentLength(format!(
-                        "chunked message exceeds {MAX_FRAME_BYTES} bytes"
-                    )));
-                }
-                Ok(Framing::Partial)
-            }
+    let framing = head_framing(head, BodyFraming::Length(0))?;
+    Ok(
+        match (message_len(buf, body_start, framing, false)?, framing) {
+            (Some(len), _) => Framing::Complete { len },
+            (None, BodyFraming::Length(n)) => Framing::NeedsBody {
+                len: body_start + n,
+            },
+            (None, _) => Framing::Partial,
         },
-        framing => {
-            let content_length = match framing {
-                BodyFraming::Length(n) => n,
-                _ => 0,
-            };
-            let len = body_start + content_length;
-            if len > MAX_FRAME_BYTES {
-                return Err(HttpError::InvalidContentLength(format!(
-                    "message of {len} bytes exceeds {MAX_FRAME_BYTES}"
-                )));
-            }
-            if buf.len() >= len {
-                Ok(Framing::Complete { len })
-            } else {
-                Ok(Framing::NeedsBody { len })
-            }
+    )
+}
+
+/// Measures one message whose head (`head_len` bytes, e.g. parsed by
+/// [`response_head`]) is already buffered: `Ok(Some(len))` once the
+/// whole message — head plus a body framed as `framing` — is in `buf`,
+/// `Ok(None)` while more bytes are owed. A close-delimited body ends at
+/// the connection's end, so it measures only once `eof` is set. `Err`
+/// means garbage chunk framing, or a message (declared, or buffered so
+/// far) over [`MAX_FRAME_BYTES`].
+pub fn message_len(
+    buf: &[u8],
+    head_len: usize,
+    framing: BodyFraming,
+    eof: bool,
+) -> Result<Option<usize>, HttpError> {
+    // `bound` is the least the message can measure: its declared length,
+    // or everything buffered so far when the length is not yet known.
+    let (end, bound) = match framing {
+        BodyFraming::Length(n) => {
+            let end = head_len.saturating_add(n);
+            ((buf.len() >= end).then_some(end), end)
+        }
+        BodyFraming::Chunked => {
+            let end = measure_chunks(buf, head_len)?;
+            (end, end.unwrap_or(buf.len()))
+        }
+        BodyFraming::Close => (eof.then_some(buf.len()), buf.len()),
+    };
+    if bound > MAX_FRAME_BYTES {
+        return Err(HttpError::InvalidContentLength(format!(
+            "message of {bound} bytes exceeds {MAX_FRAME_BYTES}"
+        )));
+    }
+    Ok(end)
+}
+
+impl ResponseHead {
+    /// How this response's body is actually delimited, given whether it
+    /// answers a `HEAD` request. A response to `HEAD`, and every 1xx, 204
+    /// and 304, carries no body whatever its headers declare (RFC 9112
+    /// §6.3): the message ends at the blank line.
+    pub fn body_framing(&self, head_request: bool) -> BodyFraming {
+        if head_request || (100..200).contains(&self.status) || matches!(self.status, 204 | 304) {
+            BodyFraming::Length(0)
+        } else {
+            self.framing
         }
     }
 }
@@ -651,6 +676,60 @@ mod tests {
 
         assert_eq!(response_head(b"HTTP/1.1 200 OK\r\n"), Ok(None));
         assert!(response_head(b"garbage\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn message_len_frames_a_response_from_its_head() {
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nabcdNEXT";
+        let head = response_head(raw).unwrap().unwrap();
+        let len = head.len + 4;
+        assert_eq!(
+            message_len(&raw[..len - 1], head.len, head.framing, false),
+            Ok(None)
+        );
+        assert_eq!(
+            message_len(raw, head.len, head.framing, false),
+            Ok(Some(len))
+        );
+
+        let head = response_head(CHUNKED).unwrap().unwrap();
+        assert_eq!(
+            message_len(CHUNKED, head.len, head.framing, false),
+            Ok(Some(CHUNKED.len()))
+        );
+        let cut = &CHUNKED[..CHUNKED.len() - 2];
+        assert_eq!(message_len(cut, head.len, head.framing, false), Ok(None));
+
+        // A close-delimited body is everything up to EOF.
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Type: image/png\r\n\r\n0123456789abcdef";
+        let head = response_head(raw).unwrap().unwrap();
+        assert_eq!(head.framing, BodyFraming::Close);
+        assert_eq!(message_len(raw, head.len, head.framing, false), Ok(None));
+        assert_eq!(
+            message_len(raw, head.len, head.framing, true),
+            Ok(Some(raw.len()))
+        );
+        let mut big = raw.to_vec();
+        big.resize(MAX_FRAME_BYTES + 1, b'x');
+        assert!(message_len(&big, head.len, head.framing, false).is_err());
+    }
+
+    #[test]
+    fn bodyless_answers_end_at_the_blank_line() {
+        let raw = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n";
+        let head = response_head(raw).unwrap().unwrap();
+        assert_eq!(head.body_framing(false), BodyFraming::Length(100));
+        assert_eq!(head.body_framing(true), BodyFraming::Length(0), "HEAD");
+        for status in ["100 Continue", "204 No Content", "304 Not Modified"] {
+            let raw = format!("HTTP/1.1 {status}\r\nContent-Length: 7\r\n\r\n");
+            let head = response_head(raw.as_bytes()).unwrap().unwrap();
+            assert_eq!(head.body_framing(false), BodyFraming::Length(0), "{status}");
+            let framing = head.body_framing(false);
+            assert_eq!(
+                message_len(raw.as_bytes(), head.len, framing, false),
+                Ok(Some(raw.len()))
+            );
+        }
     }
 
     #[test]

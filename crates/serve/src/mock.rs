@@ -1,6 +1,7 @@
 //! A loopback origin for tests, benches, and the `--mock-origin` mode
 //! of the binary: a deliberately *blocking*, thread-per-connection HTTP
-//! server with configurable per-path latency. Its slowness is the test
+//! server of typed bodies (HTML pages and any other asset) with
+//! configurable per-path latency. Its slowness is the test
 //! fixture — the front door must keep other connections moving while
 //! this origin sits on one.
 
@@ -18,12 +19,13 @@ use std::time::Duration;
 /// Builder for a mock origin server.
 #[derive(Debug, Default)]
 pub struct MockOrigin {
-    pages: HashMap<String, String>,
+    /// Served bodies by path: content type and bytes.
+    bodies: HashMap<String, (String, Vec<u8>)>,
     latency: HashMap<String, Duration>,
-    /// Pages served with `Transfer-Encoding: chunked`, in slices of the
+    /// Bodies served with `Transfer-Encoding: chunked`, in slices of the
     /// mapped size.
     chunked: HashMap<String, usize>,
-    /// Chunked pages whose connection drops after roughly this many
+    /// Chunked bodies whose connection drops after roughly this many
     /// body bytes, without ever sending the terminal chunk.
     truncate_after: HashMap<String, usize>,
     /// Serve multiple requests per connection (loop until EOF or a
@@ -40,14 +42,27 @@ pub struct MockOrigin {
 }
 
 impl MockOrigin {
-    /// An origin with no pages (every path 404s).
+    /// An origin with no bodies (every path 404s).
     pub fn new() -> MockOrigin {
         MockOrigin::default()
     }
 
     /// Registers an HTML page at `path`.
-    pub fn page(mut self, path: impl Into<String>, html: impl Into<String>) -> MockOrigin {
-        self.pages.insert(path.into(), html.into());
+    pub fn page(self, path: impl Into<String>, html: impl Into<String>) -> MockOrigin {
+        self.asset(path, "text/html", html.into())
+    }
+
+    /// Registers a body of any type at `path`, served `200` with
+    /// `content_type` and framed by `Content-Length` (or chunked, with
+    /// [`chunked`](MockOrigin::chunked)).
+    pub fn asset(
+        mut self,
+        path: impl Into<String>,
+        content_type: impl Into<String>,
+        bytes: impl Into<Vec<u8>>,
+    ) -> MockOrigin {
+        self.bodies
+            .insert(path.into(), (content_type.into(), bytes.into()));
         self
     }
 
@@ -58,8 +73,10 @@ impl MockOrigin {
         self
     }
 
-    /// Serves `path`'s page with `Transfer-Encoding: chunked`, split
-    /// into chunks of `chunk_size` bytes.
+    /// Serves `path`'s body with `Transfer-Encoding: chunked`, split
+    /// into chunks of `chunk_size` bytes. A complete chunked answer
+    /// leaves a [`keep_alive`](MockOrigin::keep_alive) connection open
+    /// for the next request.
     pub fn chunked(mut self, path: impl Into<String>, chunk_size: usize) -> MockOrigin {
         self.chunked.insert(path.into(), chunk_size.max(1));
         self
@@ -185,29 +202,31 @@ impl MockOrigin {
             }
             hits.fetch_add(1, Ordering::SeqCst);
             served += 1;
-            let response = match self.pages.get(&path) {
-                Some(html) => {
-                    if let Some(&size) = self.chunked.get(&path) {
-                        let cut = self.truncate_after.get(&path).copied();
-                        let _ = write_chunked(&mut conn, html.as_bytes(), size, cut);
-                        // Chunked pages keep their one-shot close-after
-                        // semantics: the stream's end is the test.
-                        return;
-                    }
-                    Response::builder(StatusCode::OK)
-                        .header("Content-Type", "text/html")
-                        .body_bytes(html.clone().into_bytes())
-                        .build()
+            let body = self.bodies.get(&path);
+            if let (Some((content_type, body)), Some(&size)) = (body, self.chunked.get(&path)) {
+                let cut = self.truncate_after.get(&path).copied();
+                if write_chunked(&mut conn, content_type, body, size, cut).is_err() || cut.is_some()
+                {
+                    // A truncated stream ends its connection: the missing
+                    // terminal chunk is the test.
+                    return;
                 }
-                None => Response::builder(StatusCode::NOT_FOUND)
-                    .header("Content-Length", "0")
-                    .build(),
-            };
-            if conn
-                .write_all(&wire::serialize_response(&response))
-                .is_err()
-            {
-                return;
+            } else {
+                let response = match body {
+                    Some((content_type, body)) => Response::builder(StatusCode::OK)
+                        .header("Content-Type", content_type.as_str())
+                        .body_bytes(body.clone())
+                        .build(),
+                    None => Response::builder(StatusCode::NOT_FOUND)
+                        .header("Content-Length", "0")
+                        .build(),
+                };
+                if conn
+                    .write_all(&wire::serialize_response(&response))
+                    .is_err()
+                {
+                    return;
+                }
             }
             let close_requested = request
                 .headers()
@@ -235,17 +254,22 @@ impl Drop for Gauge<'_> {
     }
 }
 
-/// Writes `body` as a chunked `200 text/html` response in `size`-byte
-/// chunks. With `truncate_after`, the connection drops once that many
-/// body bytes have gone out — no terminal chunk, a mid-stream death.
+/// Writes `body` as a chunked `200` response of `content_type` in
+/// `size`-byte chunks. With `truncate_after`, the stream stops once that
+/// many body bytes have gone out — no terminal chunk, and the caller
+/// drops the connection: a mid-stream death.
 fn write_chunked(
     conn: &mut TcpStream,
+    content_type: &str,
     body: &[u8],
     size: usize,
     truncate_after: Option<usize>,
 ) -> std::io::Result<()> {
     conn.write_all(
-        b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nTransfer-Encoding: chunked\r\n\r\n",
+        format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\n\r\n"
+        )
+        .as_bytes(),
     )?;
     let mut sent = 0usize;
     for piece in body.chunks(size) {

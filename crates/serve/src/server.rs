@@ -18,9 +18,15 @@
 //!
 //! # Origin connection pool
 //!
-//! A finished fetch whose response permits reuse (self-delimiting
-//! framing, no `Connection: close`) parks its connection in a
-//! per-worker idle pool instead of closing it; the next lease pops the
+//! A finished fetch parks its connection in a per-worker idle pool
+//! instead of closing it, under **one** reuse rule that every response
+//! kind shares (streamed pages and buffered answers alike, in the
+//! worker's `park_or_free`): the head permits reuse (self-delimiting
+//! framing, no `Connection: close`), the body ended by its framing rather
+//! than EOF, no byte sits past the message, the request went out whole,
+//! and the pool has room outside a drain. Both origin paths consume
+//! exactly their one framed message from the connection's buffer, so a
+//! leftover byte is unsolicited by construction. The next lease pops the
 //! warmest parked socket and writes its request without a connect, a
 //! register, or (usually) any `epoll_ctl` at all. Parked connections
 //! stay registered readable so a FIN or stray byte while idle retires
@@ -34,6 +40,14 @@
 //! in-flight lease gauge returns to zero either way. `origin_pool: 0`
 //! disables parking and restores the one-connection-per-fetch behavior
 //! byte for byte.
+//!
+//! Buffered answers are framed from their parsed head
+//! ([`frame::message_len`]): a close-delimited body reads to EOF within
+//! [`frame::MAX_FRAME_BYTES`], and an answer with no body by rule — to a
+//! `HEAD`, or any 1xx, 204 or 304 ([`frame::ResponseHead::body_framing`])
+//! — ends at its blank line and reaches the client with the origin's
+//! status and headers. A `HEAD` never enters the page-rewrite stream, and
+//! an interim 1xx is dropped in favour of the final answer.
 //!
 //! # Multi-reactor serving
 //!
@@ -64,11 +78,12 @@
 //!
 //! # Streaming pages
 //!
-//! An origin response whose head reads `200` + `text/html` is not
-//! buffered at all: the server answers the client's head immediately
-//! with `Transfer-Encoding: chunked`, then pipes origin body bytes
-//! through the gateway's [`PageStream`] rewriter as they arrive —
-//! decode one origin chunk, rewrite it, chunk-encode it to the client.
+//! An origin response whose head reads `200` + `text/html` (to anything
+//! but a `HEAD`) is not buffered at all: the server answers the client's
+//! head immediately with `Transfer-Encoding: chunked`, then pipes origin
+//! body bytes through the gateway's [`PageStream`] rewriter as they
+//! arrive — decode one origin chunk, rewrite it, chunk-encode it to the
+//! client.
 //! Memory per streamed page is bounded by the rewriter's constant
 //! hold-back plus the client's write backlog, never the page size, so a
 //! multi-MB page flows through in O(chunk). Backpressure is explicit: a
@@ -97,7 +112,7 @@ use crate::frame::{self, BodyDecoder, BodyFraming, Framing};
 use crate::stats::serve_stats_json;
 use botwall_gateway::{Gateway, Origin, PageStream, PendingServe};
 use botwall_http::request::ClientIp;
-use botwall_http::{wire, Request, Response, StatusCode};
+use botwall_http::{wire, Method, Request, Response, StatusCode};
 use botwall_sessions::SimTime;
 use reactor::{net, signals, Event, Interest, Reactor, Token, Waker};
 use std::io::{self, Read, Write};
@@ -310,6 +325,13 @@ struct OriginConn {
     /// Whether any response byte has arrived — the retry window closes
     /// the moment one does.
     saw_byte: bool,
+    /// The request is a `HEAD`: its answer carries no body, whatever the
+    /// head declares, and never enters the page-rewrite stream.
+    head_request: bool,
+    /// Whether the response head permits reusing the connection once
+    /// the message ends (see [`Worker::park_or_free`]); `false` until a
+    /// head arrives.
+    reusable: bool,
     state: OriginState,
 }
 
@@ -340,10 +362,6 @@ struct StreamingFetch {
     wire_bytes: u64,
     /// Read interest parked by client backpressure.
     paused: bool,
-    /// Whether the response head permits reusing the connection once
-    /// the body ends cleanly (self-delimiting framing, no
-    /// `Connection: close`).
-    reusable: bool,
 }
 
 enum WriteStep {
@@ -662,16 +680,26 @@ impl Worker {
         None
     }
 
-    /// Parks a finished origin connection for reuse when `reusable` and
-    /// the pool has room, or retires it. A connection with leftover
-    /// buffered bytes or an unfinished request write is never parked.
-    fn park_or_free(&mut self, slot: usize, o: OriginConn, reusable: bool) {
+    /// The one reuse rule, shared by the buffered and the streaming
+    /// path. A finished fetch's connection parks for the next lease only
+    /// if all of these hold, and is retired otherwise:
+    ///
+    /// * the response head permitted reuse (`o.reusable`: a
+    ///   self-delimited body and no `Connection: close`);
+    /// * the message ended by its own framing with the socket still open
+    ///   (`framed`), not by EOF, a timeout, or an error;
+    /// * no bytes sit past the message — each path consumes exactly its
+    ///   one message from `o.buf`, so anything left is unsolicited;
+    /// * the request was fully written;
+    /// * the pool has room, and the worker is not draining.
+    fn park_or_free(&mut self, slot: usize, o: OriginConn, framed: bool) {
         let addr = self.config.origin;
-        let park = reusable
-            && !self.draining
-            && self.idle_pool.len() < self.config.origin_pool
+        let park = o.reusable
+            && framed
             && o.buf.is_empty()
-            && o.pos == o.out.len();
+            && o.pos == o.out.len()
+            && !self.draining
+            && self.idle_pool.len() < self.config.origin_pool;
         let (Some(addr), true) = (addr, park) else {
             self.pending_free.push(slot);
             self.retire_origin(o);
@@ -1048,9 +1076,7 @@ impl Worker {
                                 // the lease so enforcement's in-flight
                                 // count stays exact.
                                 self.recycle(out);
-                                let gone =
-                                    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
-                                let d = self.gateway.complete(pending, gone, now);
+                                let d = self.gateway.complete(pending, bad_gateway(), now);
                                 self.set_response(slot, c, d.into_response(), close_after);
                                 return;
                             }
@@ -1075,8 +1101,7 @@ impl Worker {
                         {
                             self.free.push(origin_slot);
                             self.recycle(out);
-                            let gone = Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
-                            let d = self.gateway.complete(pending, gone, now);
+                            let d = self.gateway.complete(pending, bad_gateway(), now);
                             self.set_response(slot, c, d.into_response(), close_after);
                             return;
                         }
@@ -1086,6 +1111,7 @@ impl Worker {
                 };
                 self.reactor
                     .deadline(token_of(origin_slot), self.config.origin_timeout);
+                let head_request = *pending.request().method() == Method::Head;
                 let buf = self.take_buf();
                 self.slots[origin_slot] = Some(Slot::OriginFetch(Box::new(OriginConn {
                     stream,
@@ -1099,6 +1125,8 @@ impl Worker {
                     interest,
                     reused,
                     saw_byte: false,
+                    head_request,
+                    reusable: false,
                     state: OriginState::Buffering,
                 })));
                 // Park the client: no read interest (level-triggered
@@ -1211,12 +1239,7 @@ impl Worker {
             match o.stream.take_error() {
                 Ok(None) => o.connected = true,
                 _ => {
-                    self.finish_origin(
-                        slot,
-                        o,
-                        Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                        false,
-                    );
+                    self.finish_origin(slot, o, bad_gateway(), false);
                     return;
                 }
             }
@@ -1240,12 +1263,7 @@ impl Worker {
                     if o.reused && !o.saw_byte {
                         self.retry_origin(slot, o);
                     } else {
-                        self.finish_origin(
-                            slot,
-                            o,
-                            Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                            false,
-                        );
+                        self.finish_origin(slot, o, bad_gateway(), false);
                     }
                     return;
                 }
@@ -1280,12 +1298,7 @@ impl Worker {
         let mut stream = match net::tcp_connect_nonblocking(addr) {
             Ok(stream) => stream,
             Err(_) => {
-                self.finish_origin(
-                    slot,
-                    o,
-                    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                    false,
-                );
+                self.finish_origin(slot, o, bad_gateway(), false);
                 return;
             }
         };
@@ -1304,12 +1317,7 @@ impl Worker {
             .register(&o.stream, token_of(slot), interest)
             .is_err()
         {
-            self.finish_origin(
-                slot,
-                o,
-                Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                false,
-            );
+            self.finish_origin(slot, o, bad_gateway(), false);
             return;
         }
         self.shared.origin_connects.fetch_add(1, Ordering::Relaxed);
@@ -1322,66 +1330,62 @@ impl Worker {
         self.slots[slot] = Some(Slot::OriginFetch(Box::new(o)));
     }
 
-    /// An origin fetch whose response head is not yet decided (or is a
-    /// non-page response buffering whole).
-    fn origin_buffer_step(&mut self, slot: usize, o: OriginConn, eof: bool) {
+    /// An origin fetch whose response head is not yet decided, or a
+    /// non-page response buffering whole. The message is framed from its
+    /// parsed head — a close-delimited body reads to EOF, an answer with
+    /// no body by rule ends at its blank line — and consumed exactly
+    /// from the connection's buffer before [`Worker::finish_origin`], so
+    /// the reuse rule sees only what lies past it.
+    fn origin_buffer_step(&mut self, slot: usize, mut o: OriginConn, eof: bool) {
         // A reused connection the origin closed without a single
         // response byte was stale in the pool: retry once, fresh.
         if eof && o.reused && !o.saw_byte && o.buf.is_empty() {
             self.retry_origin(slot, o);
             return;
         }
-        // A `200 text/html` head upgrades to the streaming path the
-        // moment it is complete — the body is never buffered.
-        let head = match frame::response_head(&o.buf) {
-            Ok(head) => head,
-            Err(_) => {
-                self.finish_origin(
-                    slot,
-                    o,
-                    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                    false,
-                );
-                return;
+        let head = loop {
+            match frame::response_head(&o.buf) {
+                // An interim 1xx (`100 Continue`, `103 Early Hints`) has
+                // no body and is not the answer: drop it and read on. (No
+                // HTTP follows a `101` switch: that fetch fails as garbage
+                // or times out, and its socket never parks.)
+                Ok(Some(head)) if (100..200).contains(&head.status) => {
+                    o.buf.drain(..head.len);
+                }
+                Ok(Some(head)) => break head,
+                Ok(None) if !eof => {
+                    self.slots[slot] = Some(Slot::OriginFetch(Box::new(o)));
+                    return;
+                }
+                // Garbage, or the origin closed before a whole head.
+                _ => {
+                    self.finish_origin(slot, o, bad_gateway(), false);
+                    return;
+                }
             }
         };
-        if let Some(head) = &head {
-            if head.status == 200 && head.content_type.as_deref() == Some("text/html") {
-                let head = head.clone();
-                self.begin_stream(slot, o, head, eof);
-                return;
-            }
+        let framing = head.body_framing(o.head_request);
+        o.reusable = !head.connection_close && framing != BodyFraming::Close;
+        // A `200 text/html` head upgrades to the streaming path the
+        // moment it is complete — the body is never buffered.
+        if !o.head_request
+            && head.status == 200
+            && head.content_type.as_deref() == Some("text/html")
+        {
+            self.begin_stream(slot, o, head, eof);
+            return;
         }
-        match frame::measure(&o.buf) {
-            Ok(Framing::Complete { len }) => {
-                // Reuse eligibility comes from the head: self-delimited
-                // framing, no `Connection: close`, and nothing buffered
-                // past the message's end.
-                let reusable = head.as_ref().is_some_and(reuse_allowed) && o.buf.len() == len;
-                let origin = classify_origin(&o.buf[..len]);
-                self.finish_origin(slot, o, origin, reusable);
+        match frame::message_len(&o.buf, head.len, framing, eof) {
+            Ok(Some(len)) => {
+                let origin = classify_origin(&o.buf[..len], framing, o.head_request);
+                o.buf.drain(..len);
+                self.finish_origin(slot, o, origin, !eof);
             }
-            Ok(_) if eof => {
-                // Close-delimited response (no Content-Length): the
-                // connection's end is the frame's end.
-                let origin = if o.buf.is_empty() {
-                    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY))
-                } else {
-                    classify_origin(&o.buf)
-                };
-                self.finish_origin(slot, o, origin, false);
-            }
-            Ok(_) => {
+            Ok(None) if !eof => {
                 self.slots[slot] = Some(Slot::OriginFetch(Box::new(o)));
             }
-            Err(_) => {
-                self.finish_origin(
-                    slot,
-                    o,
-                    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY)),
-                    false,
-                );
-            }
+            // Oversized, garbage chunk framing, or EOF mid-body.
+            _ => self.finish_origin(slot, o, bad_gateway(), false),
         }
     }
 
@@ -1401,7 +1405,6 @@ impl Worker {
             self.gateway.begin_page_stream(pending, now)
         };
         let decoder = BodyDecoder::new(head.framing);
-        let reusable = reuse_allowed(&head);
         o.buf.drain(..head.len);
         let wire_bytes = (head.len + o.buf.len()) as u64;
         o.state = OriginState::Streaming(Box::new(StreamingFetch {
@@ -1409,7 +1412,6 @@ impl Worker {
             page,
             wire_bytes,
             paused: false,
-            reusable,
         }));
         let Some(Slot::Client(mut c)) = self.slots.get_mut(o.client_slot).and_then(Option::take)
         else {
@@ -1487,10 +1489,9 @@ impl Worker {
             payload.extend_from_slice(b"0\r\n\r\n");
             self.reactor.cancel_deadline(token_of(slot));
             let client_slot = o.client_slot;
-            // A stream that ended by EOF closed its connection; one
-            // that ended by framing with a reuse-friendly head parks.
-            let reusable = fetch.reusable && !eof;
-            self.park_or_free(slot, o, reusable);
+            // The decoder consumed exactly the body; a stream that ended
+            // by EOF rather than its framing never parks.
+            self.park_or_free(slot, o, !eof);
             self.deliver_stream(client_slot, &payload, StreamEnd::Clean);
             self.payload_scratch = payload;
             return;
@@ -1649,14 +1650,15 @@ impl Worker {
     }
 
     /// Commits an origin outcome into the leased exchange and wakes the
-    /// waiting client with the final decision. `reusable` parks the
-    /// origin connection for the next fetch when the pool has room.
+    /// waiting client with the final decision. `framed` says the message
+    /// ended by its own framing; [`Worker::park_or_free`] decides whether
+    /// the connection parks.
     fn finish_origin(
         &mut self,
         origin_slot: usize,
         mut o: OriginConn,
         origin: Origin,
-        reusable: bool,
+        framed: bool,
     ) {
         self.reactor.cancel_deadline(token_of(origin_slot));
         let pending = o.pending.take().expect("finish runs once per fetch");
@@ -1664,7 +1666,7 @@ impl Worker {
         let decision = self.gateway.complete(pending, origin, now);
         let client_slot = o.client_slot;
         let close_after = o.close_after;
-        self.park_or_free(origin_slot, o, reusable);
+        self.park_or_free(origin_slot, o, framed);
         // The client may have died in this same batch; its teardown
         // already completed the lease path above, so just drop the
         // decision if nobody is waiting.
@@ -1783,24 +1785,28 @@ fn format_hex(mut n: usize, buf: &mut [u8; 16]) -> &[u8] {
     &buf[i..]
 }
 
-/// Whether a response head permits reusing its connection for another
-/// request: the body must be self-delimiting (`Content-Length` or
-/// chunked — a close-delimited body *is* the connection's end) and the
-/// origin must not have announced `Connection: close`.
-fn reuse_allowed(head: &frame::ResponseHead) -> bool {
-    !head.connection_close && !matches!(head.framing, BodyFraming::Close)
+/// The synthesized answer to an origin that failed to produce one.
+fn bad_gateway() -> Origin {
+    Origin::Response(Response::empty(StatusCode::BAD_GATEWAY))
 }
 
-/// Maps a parsed origin response to the gateway's [`Origin`] taxonomy:
-/// HTML pages get instrumented, 404s map to `NotFound`, everything else
-/// passes through untouched (chunked bodies reframed as identity first —
-/// the wire codec only parses `Content-Length`).
-fn classify_origin(raw: &[u8]) -> Origin {
-    let Ok(identity) = frame::dechunk(raw) else {
-        return Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
+/// Maps one whole buffered origin message, framed as `framing`, to the
+/// gateway's [`Origin`] taxonomy: HTML pages get instrumented (never an
+/// answer to `HEAD`), 404s map to `NotFound`, everything else passes
+/// through untouched. An answer with no body keeps its head exactly as
+/// sent (a `HEAD` answer's `Content-Length` describes the body it
+/// omits); a chunked body is reframed as identity first, since the wire
+/// codec only parses `Content-Length`.
+fn classify_origin(raw: &[u8], framing: BodyFraming, head_request: bool) -> Origin {
+    let parsed = match framing {
+        BodyFraming::Length(0) => wire::parse_response_head(raw),
+        BodyFraming::Chunked => {
+            frame::dechunk(raw).and_then(|identity| wire::parse_response(&identity))
+        }
+        _ => wire::parse_response(raw),
     };
-    let Ok(response) = wire::parse_response(&identity) else {
-        return Origin::Response(Response::empty(StatusCode::BAD_GATEWAY));
+    let Ok(response) = parsed else {
+        return bad_gateway();
     };
     if response.status() == StatusCode::NOT_FOUND {
         return Origin::NotFound;
@@ -1808,7 +1814,7 @@ fn classify_origin(raw: &[u8]) -> Origin {
     let is_html = response
         .content_type()
         .is_some_and(|ct| ct.starts_with("text/html"));
-    if response.status() == StatusCode::OK && is_html {
+    if response.status() == StatusCode::OK && is_html && !head_request {
         match String::from_utf8(response.body().to_vec()) {
             Ok(html) => Origin::Page(html),
             Err(_) => Origin::Response(response),

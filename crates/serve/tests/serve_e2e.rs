@@ -131,6 +131,62 @@ fn body_str(response: &Response) -> String {
     String::from_utf8(response.body().to_vec()).unwrap()
 }
 
+/// Eight bytes of PNG signature and some binary payload: not UTF-8, so
+/// only a byte-exact relay reproduces it.
+const PNG: &[u8] = b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR\xff\xfe\x00\x01";
+
+/// A raw-socket origin that answers the n-th request it reads (across
+/// connections) with `answers[n]`, byte for byte, and keeps each
+/// connection open until the peer closes it — after the last answer it
+/// closes, so a close-delimited last answer ends there. Returns the
+/// listening address; the thread exits once every answer is sent.
+fn scripted_origin(answers: Vec<Vec<u8>>) -> SocketAddr {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let mut answers = answers.into_iter().peekable();
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { continue };
+            let mut buf = Vec::new();
+            let mut chunk = [0u8; 4096];
+            while answers.peek().is_some() {
+                match botwall_serve::frame::measure(&buf) {
+                    Ok(botwall_serve::frame::Framing::Complete { len }) => {
+                        buf.drain(..len);
+                        let answer = answers.next().unwrap();
+                        if conn.write_all(&answer).is_err() {
+                            break;
+                        }
+                        continue;
+                    }
+                    Ok(_) => {}
+                    Err(_) => break,
+                }
+                match std::io::Read::read(&mut conn, &mut chunk) {
+                    Ok(0) | Err(_) => break,
+                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                }
+            }
+            if answers.peek().is_none() {
+                return;
+            }
+        }
+    });
+    addr
+}
+
+/// Reads one response head (through its blank line) and nothing more.
+fn read_head(conn: &mut TcpStream) -> String {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        let n = std::io::Read::read(conn, &mut byte).unwrap();
+        assert_eq!(n, 1, "connection closed mid-head");
+        head.push(byte[0]);
+    }
+    String::from_utf8(head).unwrap()
+}
+
 #[test]
 fn serves_an_instrumented_page_end_to_end() {
     let fx = Fixture::standard();
@@ -685,6 +741,207 @@ fn garbage_on_a_parked_connection_never_bleeds_into_a_response() {
     assert_eq!(report.origin_reuses, 0, "a poisoned socket is never reused");
     assert_eq!(report.origin_connects, 2);
     assert_eq!(report.origin_retries, 0);
+}
+
+/// The same poisoning after a buffered (non-HTML) answer: the asset's
+/// connection parks, the origin's late garbage retires it, and the next
+/// fetch gets the asset's exact bytes on a fresh connection.
+#[test]
+fn garbage_after_a_buffered_asset_is_never_parked_or_served() {
+    let origin = MockOrigin::new()
+        .asset("/logo.png", "image/png", PNG)
+        .keep_alive()
+        .garbage_after(
+            b"HTTP/1.1 200 OK\r\nContent-Type: image/png\r\nContent-Length: 5\r\n\r\nBLEED"
+                .as_slice(),
+        )
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(35).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let ua = "Mozilla/5.0 e2e-pool-asset-garbage";
+    assert_eq!(get(fx.addr, "/logo.png", ua).body(), PNG);
+    std::thread::sleep(Duration::from_millis(200));
+    let second = get(fx.addr, "/logo.png", ua);
+    assert_eq!(second.status(), StatusCode::OK);
+    assert_eq!(second.body(), PNG, "parked garbage must never be parsed");
+    let report = fx.finish();
+    assert_eq!(report.origin_reuses, 0, "a poisoned socket is never reused");
+    assert_eq!(report.origin_connects, 2);
+}
+
+/// Every reusable answer parks its connection, not just streamed pages:
+/// a page, a stylesheet, an image and a 404 from a keep-alive origin
+/// ride one upstream connection, and each body arrives byte for byte.
+#[test]
+fn page_assets_and_404_share_one_origin_connection() {
+    const CSS: &[u8] = b"body { color: #333; }\n";
+    let origin = MockOrigin::new()
+        .page("/index.html", PAGE)
+        .asset("/style.css", "text/css", CSS)
+        .asset("/logo.png", "image/png", PNG)
+        .keep_alive()
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(36).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let ua = "Mozilla/5.0 e2e-pool-assets";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let page = get_on(&mut conn, "/index.html", ua);
+    assert_eq!(page.status(), StatusCode::OK);
+    assert!(body_str(&page).contains("content"));
+    let css = get_on(&mut conn, "/style.css", ua);
+    assert_eq!(css.status(), StatusCode::OK);
+    assert_eq!(css.content_type(), Some("text/css"));
+    assert_eq!(css.body(), CSS);
+    let png = get_on(&mut conn, "/logo.png", ua);
+    assert_eq!(png.status(), StatusCode::OK);
+    assert_eq!(png.content_type(), Some("image/png"));
+    assert_eq!(png.body(), PNG);
+    let missing = get_on(&mut conn, "/missing.gif", ua);
+    assert_eq!(missing.status(), StatusCode::NOT_FOUND);
+    let report = fx.finish();
+    assert_eq!(report.origin_connects, 1, "one socket fed every fetch");
+    assert_eq!(report.origin_reuses, 3);
+    assert_eq!(report.origin_retries, 0);
+}
+
+/// A chunked non-HTML body is reframed for the client: one
+/// `Content-Length` message with the decoded bytes, no chunked framing.
+/// The chunked answer's connection still parks for the next fetch.
+#[test]
+fn chunked_asset_reaches_the_client_with_content_length_framing() {
+    let script: Vec<u8> = (0..3000u32).map(|i| b'a' + (i % 26) as u8).collect();
+    let origin = MockOrigin::new()
+        .asset("/app.js", "application/javascript", script.clone())
+        .chunked("/app.js", 700)
+        .keep_alive()
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(37).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let ua = "Mozilla/5.0 e2e-chunked-asset";
+    assert_eq!(get(fx.addr, "/app.js", ua).body(), script.as_slice());
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let req = Request::builder(Method::Get, "/app.js")
+        .header("User-Agent", ua)
+        .header("Connection", "close")
+        .build()
+        .unwrap();
+    conn.write_all(&botwall_http::wire::serialize_request(&req))
+        .unwrap();
+    let mut raw = Vec::new();
+    std::io::Read::read_to_end(&mut conn, &mut raw).unwrap();
+    let split = raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+    let head = String::from_utf8_lossy(&raw[..split]).to_ascii_lowercase();
+    assert!(head.starts_with("http/1.1 200"), "{head}");
+    assert!(head.contains(&format!("content-length: {}\r\n", script.len())));
+    assert!(!head.contains("transfer-encoding"), "{head}");
+    assert_eq!(&raw[split..], script.as_slice(), "decoded body, exactly");
+    let report = fx.finish();
+    assert_eq!(report.origin_connects, 1);
+    assert_eq!(report.origin_reuses, 1);
+}
+
+/// A close-delimited body (no `Content-Length`, not chunked) runs to the
+/// origin's EOF and is served whole, not as an empty body.
+#[test]
+fn close_delimited_asset_is_served_whole() {
+    let origin = scripted_origin(vec![
+        b"HTTP/1.1 200 OK\r\nContent-Type: image/png\r\n\r\n0123456789abcdef".to_vec(),
+    ]);
+    let fx = Fixture::with(
+        Gateway::builder().seed(38).build(),
+        |config| config.origin = Some(origin),
+        None,
+    );
+    let response = get(fx.addr, "/raw.png", "Mozilla/5.0 e2e-close-delimited");
+    assert_eq!(response.status(), StatusCode::OK);
+    assert_eq!(response.content_type(), Some("image/png"));
+    assert_eq!(response.body(), b"0123456789abcdef");
+    assert_eq!(response.headers().content_length(), Some(16));
+    let report = fx.finish();
+    assert_eq!(
+        report.origin_reuses, 0,
+        "a close-delimited answer never parks"
+    );
+}
+
+/// Answers that carry no body by rule — to `HEAD`, and any 1xx, 204 or
+/// 304 — end at their blank line, whatever `Content-Length` declares.
+/// None waits for body bytes that never come (the origin timeout here is
+/// far beyond the test's patience), the client gets the origin's status
+/// and headers, an interim `100 Continue` is dropped in favour of the
+/// final answer, and every one of them parks the connection for the next.
+#[test]
+fn bodyless_answers_end_at_their_head_and_keep_the_connection() {
+    let origin = scripted_origin(vec![
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 100\r\n\r\n".to_vec(),
+        b"HTTP/1.1 204 No Content\r\n\r\n".to_vec(),
+        b"HTTP/1.1 304 Not Modified\r\nETag: \"v1\"\r\nContent-Length: 50\r\n\r\n".to_vec(),
+        b"HTTP/1.1 100 Continue\r\n\r\n\
+          HTTP/1.1 200 OK\r\nContent-Type: text/css\r\nContent-Length: 3\r\n\r\nabc"
+            .to_vec(),
+    ]);
+    let fx = Fixture::with(
+        Gateway::builder().seed(39).build(),
+        |config| {
+            config.origin = Some(origin);
+            config.origin_timeout = Duration::from_secs(30);
+        },
+        None,
+    );
+    let ua = "Mozilla/5.0 e2e-bodyless";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let started = Instant::now();
+    let head = Request::builder(Method::Head, "/index.html")
+        .header("User-Agent", ua)
+        .build()
+        .unwrap();
+    client::send_request(&mut conn, &head).unwrap();
+    let answer = read_head(&mut conn);
+    assert!(answer.starts_with("HTTP/1.1 200 OK\r\n"), "{answer}");
+    assert!(answer.contains("Content-Type: text/html\r\n"), "{answer}");
+    assert!(answer.contains("Content-Length: 100\r\n"), "{answer}");
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "a HEAD answer must not wait for the origin timeout"
+    );
+    let no_content = get_on(&mut conn, "/ping", ua);
+    assert_eq!(no_content.status().as_u16(), 204);
+    assert!(no_content.body().is_empty());
+    client::send_request(&mut conn, &request("/cached.css", ua)).unwrap();
+    let not_modified = read_head(&mut conn);
+    assert!(
+        not_modified.starts_with("HTTP/1.1 304 Not Modified\r\n"),
+        "{not_modified}"
+    );
+    assert!(not_modified.contains("ETag: \"v1\"\r\n"), "{not_modified}");
+    assert!(
+        not_modified.contains("Content-Length: 50\r\n"),
+        "{not_modified}"
+    );
+    // Had any body byte been framed onto those heads, this answer would
+    // not parse.
+    let after_interim = get_on(&mut conn, "/late.css", ua);
+    assert_eq!(after_interim.status(), StatusCode::OK);
+    assert_eq!(after_interim.body(), b"abc");
+    let report = fx.finish();
+    assert_eq!(report.origin_connects, 1, "one socket fed every fetch");
+    assert_eq!(report.origin_reuses, 3);
 }
 
 /// The pool cap bounds how many idle connections survive a concurrent

@@ -3,7 +3,9 @@
 //! the sharded session tracker's raw ingest rate at several shard
 //! counts — the two paths the ROADMAP's scale items landed on. The
 //! `beacon_redemption` row tracks the request class that used to
-//! write-lock the global instrumenter before PR 4 made it shard-local.
+//! write-lock the global instrumenter before PR 4 made it shard-local;
+//! `script_fetch` tracks the script generation a page defers to the
+//! fetch of its `<script src>` probe.
 
 use botwall_gateway::{Decision, Gateway, Origin};
 use botwall_http::request::ClientIp;
@@ -97,6 +99,38 @@ fn bench_gateway_throughput(c: &mut Criterion) {
                 let start = Instant::now();
                 black_box(gw.handle(&r, clock));
                 elapsed += start.elapsed();
+            }
+            elapsed
+        })
+    });
+
+    // Script fetch alone: a page stores only its script's recipe, so the
+    // script is generated here, when its probe is fetched. Page issuance
+    // happens outside the measured region (iter_custom).
+    group.bench_function("script_fetch", |b| {
+        let gw = Gateway::builder().seed(47).build();
+        let mut clock = SimTime::ZERO;
+        let mut ip = 1u32;
+        b.iter_custom(|iters| {
+            use std::time::{Duration, Instant};
+            let mut elapsed = Duration::ZERO;
+            for _ in 0..iters {
+                clock += 50;
+                ip = ip.wrapping_add(1);
+                let page = req(ip, "http://bench.example/index.html");
+                let d = gw.handle_with(&page, clock, |_| Origin::Page(HTML.into()));
+                let Decision::Serve { manifest, .. } = d else {
+                    unreachable!("fresh sessions are served");
+                };
+                let js = manifest.unwrap().js_file.unwrap();
+                let r = req(ip, &js.to_string());
+                let start = Instant::now();
+                let d = black_box(gw.handle(&r, clock));
+                elapsed += start.elapsed();
+                assert!(
+                    matches!(d, Decision::Serve { probe: true, .. }),
+                    "script fetches are served as probes"
+                );
             }
             elapsed
         })

@@ -480,7 +480,7 @@ impl Gateway {
     /// Phase two, **streaming** variant — begin. Called when the origin
     /// response head reveals an HTML page: one short critical section
     /// re-binds the lease to mint this page's instrumentation — the RNG
-    /// draw, probe URLs, generated script, and the beacon token *issued
+    /// draw, probe URLs, script recipe, and the beacon token *issued
     /// into the session immediately*, so a fast browser redeeming a
     /// probe mid-stream already hits live state — and returns a
     /// [`PageStream`] to pump origin body chunks through. The rewrite
@@ -510,7 +510,7 @@ impl Gateway {
                         pending.request.uri().path(),
                         tok.key,
                         tok.decoys.clone(),
-                        Some((tok.js_nonce, tok.js.source.clone())),
+                        Some((tok.js_nonce, tok.script.clone())),
                         now,
                         self.engine.config().token_table.max_entries_per_ip,
                     );
@@ -633,11 +633,14 @@ impl Gateway {
                         // gateway itself — it must flow even under
                         // mandatory-challenge mode, because it is the
                         // channel through which humans prove themselves.
-                        // The generated script comes out of this
-                        // session's own token state.
+                        // The script is rebuilt from the recipe in this
+                        // session's own token state — generated only
+                        // here, for an allowed fetch of its probe.
                         let js = match classified {
                             Classified::Probe(hit) if hit.kind == ProbeKind::JsFile => {
-                                state.tokens.script_for(hit.nonce)
+                                state.tokens.script_recipe(hit.nonce).map(
+                                    |(key, decoys, recipe)| self.engine.script(key, decoys, recipe),
+                                )
                             }
                             _ => None,
                         };
@@ -1161,6 +1164,102 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// The script is rebuilt from its page's recipe on every fetch: the
+    /// same bytes each time, defining the handler the page wires to
+    /// `onmousemove`, and carrying every beacon the page issued.
+    #[test]
+    fn script_regenerates_identically_and_matches_its_page() {
+        use botwall_instrument::{beacon, Obfuscation};
+        use botwall_webgraph::scan;
+
+        let gw = Gateway::builder().seed(47).build();
+        assert_eq!(gw.engine().config().obfuscation, Obfuscation::Lexical);
+        let (page, manifest) = match page_decision(&gw, 15, "Mozilla/5.0", SimTime::ZERO) {
+            Decision::Serve { body, manifest, .. } => (body.unwrap(), manifest.unwrap()),
+            other => panic!("{other:?}"),
+        };
+        let js = manifest.js_file.as_ref().unwrap().to_string();
+        let fetch = |at| match gw.handle(&req(15, &js, "Mozilla/5.0"), at) {
+            Decision::Serve {
+                response,
+                probe: true,
+                ..
+            } => String::from_utf8(response.body().to_vec()).unwrap(),
+            other => panic!("{other:?}"),
+        };
+        let script = fetch(SimTime::from_secs(1));
+        assert_eq!(script, fetch(SimTime::from_secs(2)), "byte-identical");
+
+        // The handler the page names is defined, and fetches the page's
+        // real mouse beacon.
+        let handler = page
+            .split("onmousemove=\"return ")
+            .nth(1)
+            .and_then(|rest| rest.split('(').next())
+            .unwrap();
+        let mouse = manifest.mouse_beacon.as_ref().unwrap().to_string();
+        let body = script
+            .split(&format!("function {handler}()"))
+            .nth(1)
+            .and_then(|rest| rest.split("function ").next())
+            .unwrap_or_else(|| panic!("script defines {handler}: {script}"));
+        assert!(body.contains(&mouse), "{body}");
+
+        // A blind scan finds m+1 beacons: the real one and every decoy.
+        let found: Vec<String> = scan::scan_html(&format!("<script>{script}</script>"))
+            .into_iter()
+            .filter_map(|f| f.url().parse::<botwall_http::Uri>().ok())
+            .filter(|u| beacon::decode(u).is_some())
+            .map(|u| u.to_string())
+            .collect();
+        assert_eq!(found.len(), manifest.decoy_beacons.len() + 1, "{found:?}");
+        assert!(found.contains(&mouse));
+        for decoy in &manifest.decoy_beacons {
+            assert!(found.contains(&decoy.to_string()), "{decoy}");
+        }
+        assert!(script.contains(&manifest.agent_beacon.unwrap().to_string()));
+    }
+
+    /// Scripts are generated only for an allowed fetch: a blocked or
+    /// throttled session asking for its page's script gets the bare
+    /// 403/429, and the fetch is not served as a probe.
+    #[test]
+    fn enforced_sessions_get_no_script() {
+        let gw = Gateway::builder().seed(48).build();
+        let js_of = |ip, ua| match page_decision(&gw, ip, ua, SimTime::ZERO) {
+            Decision::Serve { manifest, .. } => manifest.unwrap().js_file.unwrap().to_string(),
+            other => panic!("{other:?}"),
+        };
+
+        let blocked_js = js_of(16, "Mozilla/5.0");
+        let key = SessionKey::of(&req(16, &blocked_js, "Mozilla/5.0"));
+        gw.detector()
+            .with_key_state(&key, |_, state| state.policy.block());
+        let d = gw.handle(&req(16, &blocked_js, "Mozilla/5.0"), SimTime::ZERO);
+        assert!(matches!(d, Decision::Block), "{d:?}");
+        let response = d.into_response();
+        assert_eq!(response.status(), StatusCode::FORBIDDEN);
+        assert!(response.body().is_empty());
+
+        // Drain the rate bucket at one instant; the script fetch right
+        // after meets the same empty bucket.
+        let throttled_js = js_of(17, "wget/1.0");
+        let drained = (0..40).any(|i| {
+            let r = req(17, &format!("http://site.example/{i}.html"), "wget/1.0");
+            matches!(
+                gw.handle_with(&r, SimTime::ZERO, |_| Origin::Page(HTML.into())),
+                Decision::Throttle
+            )
+        });
+        assert!(drained, "the no-signal bucket must run dry");
+        let d = gw.handle(&req(17, &throttled_js, "wget/1.0"), SimTime::ZERO);
+        assert!(matches!(d, Decision::Throttle), "{d:?}");
+        let response = d.into_response();
+        assert_eq!(response.status(), StatusCode::TOO_MANY_REQUESTS);
+        assert!(response.body().is_empty());
+        assert_eq!(gw.stats().probe_requests, 0, "neither fetch served a probe");
     }
 
     #[test]

@@ -23,14 +23,17 @@
 //!   simulation-grade double splitmix64, not cryptographic — a real
 //!   deployment would swap in SipHash/HMAC, same construction.)
 //! * **Per-session mutable state.** Issued beacon keys, their decoys,
-//!   and the generated scripts belong to exactly one session, so they
-//!   live in that session's [`TokenState`] — colocated with the rest of
-//!   the per-key detection state in its tracker shard entry. The engine
-//!   only *produces* them ([`RewriteEngine::build_page`]); the caller
-//!   stores them under whatever lock it already holds.
+//!   and each page's [`ScriptRecipe`] belong to exactly one session, so
+//!   they live in that session's [`TokenState`] — colocated with the
+//!   rest of the per-key detection state in its tracker shard entry. The
+//!   engine only *produces* them ([`RewriteEngine::build_page`]); the
+//!   caller stores them under whatever lock it already holds. The
+//!   script itself is never stored: [`RewriteEngine::script`] rebuilds
+//!   it from the recipe when its probe is fetched, which most robots
+//!   never do.
 
 use crate::beacon;
-use crate::jsgen::{self, GeneratedJs, JsSpec};
+use crate::jsgen::{self, JsSpec};
 use crate::probe::{AutomationReport, ProbeHit, ProbeKind};
 use crate::rewrite::{Classified, InstrumentConfig, ProbeManifest};
 use crate::stream::StreamingRewrite;
@@ -38,6 +41,8 @@ use crate::token::{BeaconKey, TokenState};
 use botwall_http::{Request, Response, StatusCode, Uri};
 use botwall_sessions::SimTime;
 use rand::Rng;
+use rand_chacha::rand_core::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// Bits of MAC tag in a probe nonce.
 const TAG_BITS: u32 = 40;
@@ -118,7 +123,7 @@ pub enum Sighting {
 
 /// Everything one page rewrite produced: the rewritten HTML, the probe
 /// manifest, and — when the mouse beacon is deployed — the issued token
-/// (key + decoys) and generated script for the caller to store in the
+/// (key + decoys + script recipe) for the caller to store in the
 /// session's [`TokenState`].
 #[derive(Debug, Clone)]
 pub struct BuiltPage {
@@ -131,8 +136,8 @@ pub struct BuiltPage {
 }
 
 /// The per-page beacon token a rewrite issues: the real key, its decoys,
-/// and the generated script (keyed by its probe nonce) that references
-/// them.
+/// and the recipe of the script (served under its probe nonce) that
+/// references them.
 #[derive(Debug, Clone)]
 pub struct IssuedPageToken {
     /// The real 128-bit beacon key.
@@ -141,8 +146,24 @@ pub struct IssuedPageToken {
     pub decoys: Vec<BeaconKey>,
     /// The nonce of the `<script src>` probe URL.
     pub js_nonce: u64,
-    /// The generated script served under that nonce.
-    pub js: GeneratedJs,
+    /// What [`RewriteEngine::script`] rebuilds the script from.
+    pub script: ScriptRecipe,
+}
+
+/// What one page's script is rebuilt from, besides its beacon keys: a
+/// few dozen bytes kept in place of the ~1 KB source. Given the same
+/// keys, [`RewriteEngine::script`] turns a recipe into the same bytes
+/// every time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScriptRecipe {
+    /// Seeds the script's own RNG stream; drawn from the session stream
+    /// at page time, so the page's handler name
+    /// ([`jsgen::handler_name`]) and the script agree.
+    pub seed: u64,
+    /// Nonce of the agent-beacon probe URL the script reports to.
+    pub agent_nonce: u64,
+    /// The page host every beacon URL in the script points at.
+    pub host: String,
 }
 
 /// A 1×1 transparent GIF (the classic 43-byte pixel).
@@ -158,6 +179,12 @@ const FAKE_JPEG: &[u8] = &[
     0xff, 0xd8, 0xff, 0xe0, 0x00, 0x10, 0x4a, 0x46, 0x49, 0x46, 0x00, 0x01, 0x01, 0x00, 0x00, 0x01,
     0x00, 0x01, 0x00, 0x00, 0xff, 0xd9,
 ];
+
+/// The URL of a probe of `kind` under `nonce`: a bare 20-digit name, the
+/// paper's `2031464296.css` camouflage.
+fn probe_uri(kind: ProbeKind, host: &str, nonce: u64) -> Uri {
+    Uri::absolute(host, format!("/{nonce:020}.{}", kind.extension()))
+}
 
 /// The immutable page-rewriting and probe-classifying engine.
 ///
@@ -267,10 +294,7 @@ impl RewriteEngine {
         rng: &mut R,
     ) -> (Uri, u64) {
         let nonce = self.probe_nonce(kind, now, rng);
-        (
-            Uri::absolute(host, format!("/{nonce:020}.{}", kind.extension())),
-            nonce,
-        )
+        (probe_uri(kind, host, nonce), nonce)
     }
 
     /// Classifies a request against the instrumentation scheme without
@@ -334,9 +358,9 @@ impl RewriteEngine {
     }
 
     /// Begins a streaming page rewrite: mints this page's probes,
-    /// beacon token, and generated script up front (drawing all
-    /// randomness from `rng`, in the same order as the buffered path
-    /// always has), and returns a [`StreamingRewrite`] to feed origin
+    /// beacon token, and script recipe up front (drawing all randomness
+    /// from `rng`, in the same order as the buffered path always has),
+    /// and returns a [`StreamingRewrite`] to feed origin
     /// chunks through. The issued token is available immediately via
     /// [`StreamingRewrite::token`] — streaming callers store it in the
     /// session *before* the body has streamed, so a probe fetched by a
@@ -373,25 +397,27 @@ impl RewriteEngine {
                 .collect();
             let mouse_url = beacon::encode(host, key);
             let decoy_urls: Vec<Uri> = decoys.iter().map(|d| beacon::encode(host, *d)).collect();
-            let (agent_url, _) = self.probe_url(ProbeKind::AgentBeacon, host, now, rng);
+            let (agent_url, agent_nonce) = self.probe_url(ProbeKind::AgentBeacon, host, now, rng);
             let (js_url, js_nonce) = self.probe_url(ProbeKind::JsFile, host, now, rng);
-            let spec = JsSpec {
-                mouse_beacon: mouse_url.clone(),
-                decoys: decoy_urls.clone(),
-                agent_beacon: agent_url.clone(),
-                obfuscation: self.config.obfuscation,
-                target_size: self.config.js_target_size,
-            };
-            let js = jsgen::generate(&spec, rng);
+            // One draw stands in for the whole script: it seeds the
+            // script's own stream, built only if the probe is fetched.
+            let seed: u64 = rng.gen();
             head_inject.push_str(&format!(
                 "<script language=\"javascript\" src=\"{js_url}\"></script>\n"
             ));
-            body_attr = format!(" onmousemove=\"return {}();\"", js.handler_name);
+            body_attr = format!(
+                " onmousemove=\"return {}();\"",
+                jsgen::handler_name(self.config.obfuscation, seed)
+            );
             token = Some(IssuedPageToken {
                 key,
                 decoys,
                 js_nonce,
-                js,
+                script: ScriptRecipe {
+                    seed,
+                    agent_nonce,
+                    host: host.to_string(),
+                },
             });
             manifest.mouse_beacon = Some(mouse_url);
             manifest.decoy_beacons = decoy_urls;
@@ -445,7 +471,7 @@ impl RewriteEngine {
 
     /// Rewrites one HTML page for a session, drawing randomness from the
     /// session's own RNG stream and storing the issued token (and its
-    /// script) directly in the session's [`TokenState`] — designed to
+    /// script recipe) directly in the session's [`TokenState`] — designed to
     /// run inside the session's shard critical section, touching nothing
     /// shared.
     pub fn instrument_session_page(
@@ -465,7 +491,7 @@ impl RewriteEngine {
                 page.path(),
                 tok.key,
                 tok.decoys,
-                Some((tok.js_nonce, tok.js.source)),
+                Some((tok.js_nonce, tok.script)),
                 now,
                 self.config.token_table.max_entries_per_ip,
             );
@@ -473,21 +499,37 @@ impl RewriteEngine {
         (built.html, built.manifest)
     }
 
-    /// Serves the response for instrumentation traffic: the generated
-    /// script for JS-file hits (looked up by the caller in the owning
-    /// session's [`TokenState`] and passed as `js_source`), an empty
-    /// style sheet for CSS probes, tiny images for beacons, a stub page
-    /// for hidden links.
+    /// Builds one page's script from its beacon keys and recipe — the
+    /// only place a served script is generated. Pure: the same inputs
+    /// give the same bytes on every fetch, and the handler it defines is
+    /// the one [`jsgen::handler_name`] named in the page.
+    pub fn script(&self, key: BeaconKey, decoys: &[BeaconKey], recipe: &ScriptRecipe) -> String {
+        let host = recipe.host.as_str();
+        let spec = JsSpec {
+            mouse_beacon: beacon::encode(host, key),
+            decoys: decoys.iter().map(|d| beacon::encode(host, *d)).collect(),
+            agent_beacon: probe_uri(ProbeKind::AgentBeacon, host, recipe.agent_nonce),
+            obfuscation: self.config.obfuscation,
+            target_size: self.config.js_target_size,
+        };
+        jsgen::generate(&spec, &mut ChaCha8Rng::seed_from_u64(recipe.seed)).source
+    }
+
+    /// Serves the response for instrumentation traffic: the script for
+    /// JS-file hits (built by the caller with [`RewriteEngine::script`]
+    /// from the owning session's [`TokenState`] and moved in as
+    /// `js_source`), an empty style sheet for CSS probes, tiny images for
+    /// beacons, a stub page for hidden links.
     ///
     /// Returns `None` for [`Classified::Ordinary`]. Byte accounting is
     /// the caller's job (the engine holds no counters).
-    pub fn respond(&self, classified: &Classified, js_source: Option<&str>) -> Option<Response> {
+    pub fn respond(&self, classified: &Classified, js_source: Option<String>) -> Option<Response> {
         let (body, content_type): (Vec<u8>, &str) = match classified {
             Classified::MouseBeacon { .. } => (FAKE_JPEG.to_vec(), "image/jpeg"),
             Classified::Probe(hit) => match hit.kind {
                 ProbeKind::CssProbe => (Vec::new(), "text/css"),
                 ProbeKind::JsFile => (
-                    js_source.unwrap_or_default().as_bytes().to_vec(),
+                    js_source.unwrap_or_default().into_bytes(),
                     "application/x-javascript",
                 ),
                 ProbeKind::AgentBeacon | ProbeKind::TransparentPixel => {
@@ -761,11 +803,15 @@ mod tests {
             tokens.redeem(key, SimTime::from_secs(1)),
             crate::KeyOutcome::Valid
         );
-        // The generated script is retrievable by its nonce.
+        // The script's recipe is retrievable by its nonce, and rebuilds
+        // a script that fetches this page's beacon.
         let js_name = m.js_file.as_ref().unwrap().file_name();
         let nonce: u64 = js_name.rsplit_once('.').unwrap().0.parse().unwrap();
-        let src = tokens.script_for(nonce).expect("script stored");
+        let (key, decoys, recipe) = tokens.script_recipe(nonce).expect("recipe stored");
+        let src = e.script(key, decoys, recipe);
         assert!(src.contains("new Image()"));
+        assert!(src.contains(&m.mouse_beacon.unwrap().to_string()));
+        assert!(src.contains(&m.agent_beacon.unwrap().to_string()));
     }
 
     #[test]

@@ -16,10 +16,20 @@
 //! The paper measures generation cost at 144 µs per ~1 KB script on a
 //! 2 GHz Pentium 4 — our Criterion bench (`benches/jsgen.rs`) checks we
 //! are in the same class.
+//!
+//! A script is a pure function of its spec and a `u64` seed, so a page
+//! never stores its script: it keeps a small per-page recipe (the seed,
+//! the agent-beacon nonce and the host, see
+//! [`crate::engine::ScriptRecipe`]) and the script is regenerated from it
+//! each time its `<script src>` probe is fetched — byte-identical on
+//! every fetch. The page itself needs only the handler name, which
+//! [`handler_name`] derives from the seed without building the script.
 
 use botwall_http::Uri;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use rand_chacha::rand_core::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -91,9 +101,10 @@ pub struct GeneratedJs {
 /// assert!(js.source.contains(&spec.mouse_beacon.to_string()));
 /// ```
 pub fn generate<R: Rng>(spec: &JsSpec, rng: &mut R) -> GeneratedJs {
-    let mut namer = Namer::new(spec.obfuscation, rng);
+    let mut namer = Namer::new(spec.obfuscation);
     // One function per URL; the real one is guarded by a do-once flag
-    // exactly as in Figure 1.
+    // exactly as in Figure 1. The handler is named by the first draws,
+    // which is what lets [`handler_name`] predict it.
     let mut functions: Vec<(String, &Uri, bool)> = Vec::with_capacity(spec.decoys.len() + 1);
     let handler_name = namer.next(rng, "f");
     functions.push((handler_name.clone(), &spec.mouse_beacon, true));
@@ -165,6 +176,33 @@ pub fn generate<R: Rng>(spec: &JsSpec, rng: &mut R) -> GeneratedJs {
     }
 }
 
+/// The handler name [`generate`] picks when driven by
+/// `ChaCha8Rng::seed_from_u64(seed)` at `obfuscation`: the page's
+/// `onmousemove` attribute needs it when the page is served, long before
+/// (or without) the script ever being built. It replays the same first
+/// draws `generate` makes, so page and script always agree.
+///
+/// # Examples
+///
+/// ```
+/// use botwall_http::Uri;
+/// use botwall_instrument::jsgen::{generate, handler_name, JsSpec, Obfuscation};
+/// use rand_chacha::rand_core::SeedableRng;
+///
+/// let spec = JsSpec {
+///     mouse_beacon: Uri::absolute("h", "/b.jpg"),
+///     decoys: vec![],
+///     agent_beacon: Uri::absolute("h", "/agent.gif"),
+///     obfuscation: Obfuscation::Lexical,
+///     target_size: 0,
+/// };
+/// let js = generate(&spec, &mut rand_chacha::ChaCha8Rng::seed_from_u64(9));
+/// assert_eq!(handler_name(Obfuscation::Lexical, 9), js.handler_name);
+/// ```
+pub fn handler_name(obfuscation: Obfuscation, seed: u64) -> String {
+    Namer::new(obfuscation).next(&mut ChaCha8Rng::seed_from_u64(seed), "f")
+}
+
 /// Renders a URL as a JS expression, split into concatenated fragments
 /// when [`Obfuscation::SplitStrings`] is on.
 fn url_literal<R: Rng>(url: &Uri, obf: Obfuscation, rng: &mut R) -> String {
@@ -190,7 +228,7 @@ struct Namer {
 }
 
 impl Namer {
-    fn new<R: Rng>(obf: Obfuscation, _rng: &mut R) -> Namer {
+    fn new(obf: Obfuscation) -> Namer {
         Namer {
             obfuscate: obf != Obfuscation::None,
             counter: 0,

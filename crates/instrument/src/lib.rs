@@ -20,8 +20,9 @@
 //! Two top-level types split the work along the mutability boundary:
 //! the immutable, freely shareable [`RewriteEngine`] (rewriting,
 //! stateless MAC-nonce probe classification, script generation) and the
-//! per-session [`TokenState`] (outstanding beacon keys + stored
-//! scripts), which callers colocate with their other per-session state.
+//! per-session [`TokenState`] (outstanding beacon keys + the recipes
+//! their scripts are regenerated from on fetch), which callers colocate
+//! with their other per-session state.
 //! [`Instrumenter`] composes both into a self-contained single-owner
 //! endpoint; `botwall-core` builds the detector on top of the
 //! [`Classified`] stream either produces.
@@ -57,7 +58,7 @@ pub mod rewrite;
 pub mod stream;
 pub mod token;
 
-pub use engine::{BuiltPage, IssuedPageToken, RewriteEngine, Sighting};
+pub use engine::{BuiltPage, IssuedPageToken, RewriteEngine, ScriptRecipe, Sighting};
 pub use jsgen::Obfuscation;
 pub use probe::{AutomationReport, ProbeHit, ProbeKind};
 pub use rewrite::{Classified, InstrumentConfig, Instrumenter, InstrumenterStats, ProbeManifest};

@@ -7,11 +7,11 @@
 //! both behind the original `&mut self` API — a self-contained
 //! instrumentation endpoint for tests, harnesses, and single-threaded
 //! pipelines (the paper's per-IP token table, a shared RNG stream, a
-//! script store). The concurrent gateway does not use it: it shares one
+//! store of script recipes). The concurrent gateway does not use it: it shares one
 //! `RewriteEngine` and keeps each session's `TokenState` inside the
 //! detector's shard entries instead.
 
-use crate::engine::{RewriteEngine, Sighting};
+use crate::engine::{IssuedPageToken, RewriteEngine, Sighting};
 use crate::jsgen::Obfuscation;
 use crate::probe::{ProbeHit, ProbeKind};
 use crate::token::{BeaconKey, KeyOutcome, TokenTable, TokenTableConfig};
@@ -45,8 +45,8 @@ pub struct InstrumentConfig {
     /// the per-IP table, one client's) outstanding keys; `entry_ttl_ms`
     /// expires them at sweep.
     pub token_table: TokenTableConfig,
-    /// Maximum generated scripts the [`Instrumenter`] harness retains
-    /// for serving (the gateway stores scripts per-session instead).
+    /// Maximum script recipes the [`Instrumenter`] harness retains for
+    /// serving (the gateway stores them per-session instead).
     pub max_stored_scripts: usize,
     /// First-party asset-proxy rewriting (the trusted-server attribute
     /// surface: `src`/`href`, `srcset`/`imagesrcset`, CSS `url(...)`,
@@ -161,7 +161,8 @@ impl SharedStats {
 
 /// A self-contained server-side instrumentation endpoint: one
 /// [`RewriteEngine`] plus the paper's per-IP [`TokenTable`], a shared
-/// RNG stream, and a bounded script store.
+/// RNG stream, and a bounded store of the tokens its scripts are
+/// rebuilt from.
 ///
 /// # Examples
 ///
@@ -184,7 +185,9 @@ pub struct Instrumenter {
     engine: RewriteEngine,
     tokens: TokenTable,
     rng: ChaCha8Rng,
-    scripts: HashMap<u64, String>,
+    /// Issued page tokens by script nonce; a fetched script is rebuilt
+    /// from its token by [`RewriteEngine::script`].
+    scripts: HashMap<u64, IssuedPageToken>,
     script_order: Vec<u64>,
     stats: SharedStats,
 }
@@ -234,15 +237,15 @@ impl Instrumenter {
         let built = self.engine.build_page(html, page, now, &mut self.rng);
         if let Some(token) = built.token {
             self.tokens
-                .issue(client, page.path(), token.key, token.decoys, now);
+                .issue(client, page.path(), token.key, token.decoys.clone(), now);
             if self.scripts.len() >= self.config().max_stored_scripts {
                 if let Some(old) = self.script_order.first().copied() {
                     self.script_order.remove(0);
                     self.scripts.remove(&old);
                 }
             }
-            self.scripts.insert(token.js_nonce, token.js.source);
             self.script_order.push(token.js_nonce);
+            self.scripts.insert(token.js_nonce, token);
         }
         self.stats
             .pages_instrumented
@@ -279,9 +282,10 @@ impl Instrumenter {
     /// Returns `None` for [`Classified::Ordinary`].
     pub fn respond(&self, classified: &Classified) -> Option<Response> {
         let js = match classified {
-            Classified::Probe(hit) if hit.kind == ProbeKind::JsFile => {
-                self.scripts.get(&hit.nonce).map(String::as_str)
-            }
+            Classified::Probe(hit) if hit.kind == ProbeKind::JsFile => self
+                .scripts
+                .get(&hit.nonce)
+                .map(|token| self.engine.script(token.key, &token.decoys, &token.script)),
             _ => None,
         };
         let resp = self.engine.respond(classified, js)?;

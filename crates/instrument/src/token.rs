@@ -16,6 +16,7 @@
 //!   [`TokenState`]s. The standalone [`crate::Instrumenter`] harness
 //!   uses it; the concurrent gateway does not.
 
+use crate::engine::ScriptRecipe;
 use botwall_http::request::ClientIp;
 use botwall_sessions::SimTime;
 use rand::Rng;
@@ -86,22 +87,24 @@ struct Entry {
     decoys: Vec<BeaconKey>,
     issued: SimTime,
     redeemed: bool,
-    /// The generated script served for this page's `<script src>` probe,
-    /// keyed by its URL nonce — stored with the session so script
-    /// serving needs no global store.
-    js: Option<(u64, String)>,
+    /// The recipe of the script served for this page's `<script src>`
+    /// probe, keyed by its URL nonce — stored with the session so script
+    /// serving needs no global store, and small because the script is
+    /// rebuilt from it only when fetched.
+    js: Option<(u64, ScriptRecipe)>,
 }
 
-/// The outstanding beacon keys (and their generated scripts) of one
+/// The outstanding beacon keys (and their script recipes) of one
 /// session.
 ///
 /// This is the per-session half of the PR-4 instrumenter split: it lives
 /// inside the session's tracker shard entry, so every operation on it —
 /// issuing keys at page-rewrite time, redeeming them when a beacon
-/// fires, serving the stored script — happens under the shard lock the
-/// request already holds. It also owns the session's deterministic RNG
-/// stream (seeded by the engine's secret and the session identity), so
-/// instrumentation randomness needs no shared generator.
+/// fires, finding the recipe a fetched script is rebuilt from — happens
+/// under the shard lock the request already holds. It also owns the
+/// session's deterministic RNG stream (seeded by the engine's secret and
+/// the session identity), so instrumentation randomness needs no shared
+/// generator.
 ///
 /// # Examples
 ///
@@ -123,14 +126,15 @@ pub struct TokenState {
 
 impl TokenState {
     /// Records a freshly issued `<page, key>` tuple plus the decoys (and
-    /// optionally the generated script) served alongside it, dropping
-    /// the oldest entry beyond `max_entries`.
+    /// optionally the recipe of the script, under its probe nonce)
+    /// served alongside it, dropping the oldest entry beyond
+    /// `max_entries`.
     pub fn issue(
         &mut self,
         page: impl Into<String>,
         key: BeaconKey,
         decoys: Vec<BeaconKey>,
-        js: Option<(u64, String)>,
+        js: Option<(u64, ScriptRecipe)>,
         now: SimTime,
         max_entries: usize,
     ) {
@@ -165,11 +169,12 @@ impl TokenState {
         KeyOutcome::Unknown
     }
 
-    /// The stored script for a JS-file probe nonce, if this session was
-    /// served it.
-    pub fn script_for(&self, nonce: u64) -> Option<&str> {
+    /// What the script behind a JS-file probe nonce is rebuilt from —
+    /// its page's beacon key, decoys and recipe — if this session was
+    /// served that page (see [`crate::RewriteEngine::script`]).
+    pub fn script_recipe(&self, nonce: u64) -> Option<(BeaconKey, &[BeaconKey], &ScriptRecipe)> {
         self.entries.iter().rev().find_map(|e| match &e.js {
-            Some((n, src)) if *n == nonce => Some(src.as_str()),
+            Some((n, recipe)) if *n == nonce => Some((e.key, e.decoys.as_slice(), recipe)),
             _ => None,
         })
     }

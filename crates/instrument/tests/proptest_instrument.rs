@@ -3,9 +3,12 @@
 
 use botwall_http::request::ClientIp;
 use botwall_http::{Method, Request, Uri};
+use botwall_instrument::jsgen::{self, JsSpec, Obfuscation};
 use botwall_instrument::{Classified, InstrumentConfig, Instrumenter, KeyOutcome};
 use botwall_sessions::SimTime;
 use proptest::prelude::*;
+use rand_chacha::rand_core::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 fn page_uri() -> Uri {
     "http://prop.example/page.html".parse().unwrap()
@@ -90,5 +93,28 @@ proptest! {
         let (_, mb) = ins.instrument_page("<html></html>", &page_uri(), ClientIp::new(b), SimTime::ZERO);
         prop_assert_ne!(ma.mouse_beacon, mb.mouse_beacon);
         prop_assert_ne!(ma.css_probe, mb.css_probe);
+    }
+
+    /// The page names its handler from the script seed alone; the script
+    /// built later from the same seed must define exactly that name,
+    /// under every obfuscation level. Four seeds per case: 1,024 seeds
+    /// per level at the default case count.
+    #[test]
+    fn handler_name_predicts_the_generated_handler(seed in any::<u64>(), decoys in 0usize..6) {
+        for obfuscation in [Obfuscation::None, Obfuscation::Lexical, Obfuscation::SplitStrings] {
+            let spec = JsSpec {
+                mouse_beacon: "http://prop.example/m.jpg".parse().unwrap(),
+                decoys: (0..decoys)
+                    .map(|i| format!("http://prop.example/d{i}.jpg").parse().unwrap())
+                    .collect(),
+                agent_beacon: "http://prop.example/a.gif".parse().unwrap(),
+                obfuscation,
+                target_size: 1024,
+            };
+            for seed in (0..4).map(|i| seed.wrapping_add(i)) {
+                let js = jsgen::generate(&spec, &mut ChaCha8Rng::seed_from_u64(seed));
+                prop_assert_eq!(jsgen::handler_name(obfuscation, seed), js.handler_name);
+            }
+        }
     }
 }

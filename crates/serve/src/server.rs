@@ -47,7 +47,10 @@
 //! `HEAD`, or any 1xx, 204 or 304 ([`frame::ResponseHead::body_framing`])
 //! — ends at its blank line and reaches the client with the origin's
 //! status and headers. A `HEAD` never enters the page-rewrite stream, and
-//! an interim 1xx is dropped in favour of the final answer.
+//! an interim 1xx is dropped in favour of the final answer. Answers the
+//! server makes itself (probe objects, 403/429, `/admin/stats`) go out
+//! to a `HEAD` as their head alone, with the `Content-Length` of the body
+//! left out.
 //!
 //! # Multi-reactor serving
 //!
@@ -829,6 +832,7 @@ impl Worker {
                         &mut c,
                         Response::empty(StatusCode::REQUEST_TIMEOUT),
                         true,
+                        false,
                     );
                     if self.pump(slot, &mut c, false) {
                         self.slots[slot] = Some(Slot::Client(c));
@@ -890,6 +894,7 @@ impl Worker {
                                 c,
                                 Response::empty(StatusCode::BAD_REQUEST),
                                 true,
+                                false,
                             ),
                         }
                     }
@@ -910,7 +915,8 @@ impl Worker {
                         return true;
                     }
                     Err(_) => {
-                        self.set_response(slot, c, Response::empty(StatusCode::BAD_REQUEST), true)
+                        let bad = Response::empty(StatusCode::BAD_REQUEST);
+                        self.set_response(slot, c, bad, true, false)
                     }
                 },
                 ClientState::Awaiting { .. } => return !eof,
@@ -1006,24 +1012,25 @@ impl Worker {
     /// everything else goes through the gateway's two-phase protocol.
     fn dispatch(&mut self, slot: usize, c: &mut ClientConn, request: Request) {
         let close_after = !(self.config.keep_alive && !self.draining && wants_keep_alive(&request));
+        let head = *request.method() == Method::Head;
         if request.uri().path() == "/admin/stats" {
             let body = serve_stats_json(&self.gateway.stats(), &self.shared, self.config.threads);
             let resp = Response::builder(StatusCode::OK)
                 .header("Content-Type", "application/json")
                 .body_bytes(body.into_bytes())
                 .build();
-            self.set_response(slot, c, resp, close_after);
+            self.set_response(slot, c, resp, close_after, head);
             return;
         }
         let now = self.now();
         match self.gateway.handle_deferred(&request, now) {
             PendingServe::Ready(decision) => {
-                self.set_response(slot, c, decision.into_response(), close_after)
+                self.set_response(slot, c, decision.into_response(), close_after, head)
             }
             PendingServe::AwaitingOrigin(pending) => {
                 let Some(origin_addr) = self.config.origin else {
                     let d = self.gateway.complete(pending, Origin::NotFound, now);
-                    self.set_response(slot, c, d.into_response(), close_after);
+                    self.set_response(slot, c, d.into_response(), close_after, head);
                     return;
                 };
                 let mut out = self.take_buf();
@@ -1077,7 +1084,7 @@ impl Worker {
                                 // count stays exact.
                                 self.recycle(out);
                                 let d = self.gateway.complete(pending, bad_gateway(), now);
-                                self.set_response(slot, c, d.into_response(), close_after);
+                                self.set_response(slot, c, d.into_response(), close_after, head);
                                 return;
                             }
                         };
@@ -1102,7 +1109,7 @@ impl Worker {
                             self.free.push(origin_slot);
                             self.recycle(out);
                             let d = self.gateway.complete(pending, bad_gateway(), now);
-                            self.set_response(slot, c, d.into_response(), close_after);
+                            self.set_response(slot, c, d.into_response(), close_after, head);
                             return;
                         }
                         self.shared.origin_connects.fetch_add(1, Ordering::Relaxed);
@@ -1111,7 +1118,6 @@ impl Worker {
                 };
                 self.reactor
                     .deadline(token_of(origin_slot), self.config.origin_timeout);
-                let head_request = *pending.request().method() == Method::Head;
                 let buf = self.take_buf();
                 self.slots[origin_slot] = Some(Slot::OriginFetch(Box::new(OriginConn {
                     stream,
@@ -1125,7 +1131,7 @@ impl Worker {
                     interest,
                     reused,
                     saw_byte: false,
-                    head_request,
+                    head_request: head,
                     reusable: false,
                     state: OriginState::Buffering,
                 })));
@@ -1148,13 +1154,16 @@ impl Worker {
     /// keep-alive clients always know where the message ends, head
     /// serialized straight into the slot's pooled write buffer with the
     /// body behind it — one buffer, one `write` when the socket takes
-    /// it whole.
+    /// it whole. An answer to `HEAD` (`head_only`) stages the head
+    /// alone, its `Content-Length` still describing the body it leaves
+    /// out, whoever made the answer.
     fn set_response(
         &mut self,
         slot: usize,
         c: &mut ClientConn,
         mut response: Response,
         close_after: bool,
+        head_only: bool,
     ) {
         if !response.headers().contains("Content-Length") {
             let len = response.body().len();
@@ -1169,6 +1178,9 @@ impl Worker {
         c.out.clear();
         c.pos = 0;
         wire::serialize_response_into(&response, &mut c.out);
+        if head_only {
+            c.out.truncate(c.out.len() - response.body().len());
+        }
         c.state = ClientState::Writing { close_after };
         self.reactor
             .deadline(token_of(slot), self.config.read_timeout);
@@ -1665,7 +1677,7 @@ impl Worker {
         let now = self.now();
         let decision = self.gateway.complete(pending, origin, now);
         let client_slot = o.client_slot;
-        let close_after = o.close_after;
+        let (close_after, head_only) = (o.close_after, o.head_request);
         self.park_or_free(origin_slot, o, framed);
         // The client may have died in this same batch; its teardown
         // already completed the lease path above, so just drop the
@@ -1674,7 +1686,8 @@ impl Worker {
         else {
             return;
         };
-        self.set_response(client_slot, &mut c, decision.into_response(), close_after);
+        let response = decision.into_response();
+        self.set_response(client_slot, &mut c, response, close_after, head_only);
         if self.pump(client_slot, &mut c, false) {
             self.slots[client_slot] = Some(Slot::Client(c));
         } else {
@@ -1701,14 +1714,11 @@ fn client_ip(peer: SocketAddr) -> ClientIp {
 /// HTTP/1.1 defaults to keep-alive unless `Connection: close`; HTTP/1.0
 /// opts in with `Connection: keep-alive`.
 fn wants_keep_alive(request: &Request) -> bool {
-    let connection = request
-        .headers()
-        .get("Connection")
-        .map(|v| v.to_ascii_lowercase());
+    let connection = request.headers().get("Connection");
     if request.version() == "HTTP/1.1" {
-        connection.as_deref() != Some("close")
+        !connection.is_some_and(|v| v.eq_ignore_ascii_case("close"))
     } else {
-        connection.as_deref() == Some("keep-alive")
+        connection.is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
     }
 }
 
@@ -1821,5 +1831,40 @@ fn classify_origin(raw: &[u8], framing: BodyFraming, head_request: bool) -> Orig
         }
     } else {
         Origin::Response(response)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(version: &str, connection: Option<&str>) -> Request {
+        let mut builder = Request::builder(Method::Get, "/").version(version);
+        if let Some(value) = connection {
+            builder = builder.header("Connection", value);
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn keep_alive_follows_the_version_default_and_ignores_header_case() {
+        let cases = [
+            // (version, Connection header, keep the connection?)
+            ("HTTP/1.1", None, true),
+            ("HTTP/1.1", Some("close"), false),
+            ("HTTP/1.1", Some("Close"), false),
+            ("HTTP/1.1", Some("KEEP-ALIVE"), true),
+            ("HTTP/1.0", None, false),
+            ("HTTP/1.0", Some("close"), false),
+            ("HTTP/1.0", Some("Close"), false),
+            ("HTTP/1.0", Some("KEEP-ALIVE"), true),
+        ];
+        for (version, connection, keep) in cases {
+            assert_eq!(
+                wants_keep_alive(&request(version, connection)),
+                keep,
+                "{version} with Connection: {connection:?}"
+            );
+        }
     }
 }

@@ -1064,3 +1064,162 @@ fn shutdown_drains_every_observed_session_exactly_once() {
         "the drained server must not accept new work"
     );
 }
+
+/// Answers the server makes itself — a probe object, a 403, the admin
+/// snapshot — go out to `HEAD` as their head alone, each keeping the
+/// `Content-Length` of the body it leaves out. Pipelined on one
+/// connection, every answer parses cleanly from its first byte: had any
+/// body been framed onto a head, the next answer would start mid-body.
+#[test]
+fn head_answers_made_by_the_gateway_carry_no_body() {
+    let fx = Fixture::standard();
+    let ua = "Mozilla/5.0 e2e-head-probe";
+    let blocked_ua = "scraper/1.0 e2e-head-blocked";
+    let page = body_str(&get(fx.addr, "/index.html", ua));
+    let js_path = quoted_paths(&page, '"')
+        .into_iter()
+        .find(|p| p.ends_with(".js"))
+        .expect("instrumented page links a generated script");
+    get(fx.addr, "/index.html", blocked_ua);
+    fx.gateway
+        .detector()
+        .with_key_state(&loopback_key(blocked_ua), |_, state| state.policy.block());
+
+    let head = |path: &str, ua: &str| {
+        Request::builder(Method::Head, path)
+            .header("User-Agent", ua)
+            .build()
+            .unwrap()
+    };
+    let mut batch = Vec::new();
+    for request in [
+        head(&js_path, ua),
+        head("/index.html", blocked_ua),
+        head("/admin/stats", ua),
+        request(&js_path, ua),
+    ] {
+        batch.extend_from_slice(&botwall_http::wire::serialize_request(&request));
+    }
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    conn.write_all(&batch).unwrap();
+
+    let content_length = |head: &str| -> usize {
+        head.split("\r\n")
+            .find_map(|line| line.strip_prefix("Content-Length: "))
+            .unwrap_or_else(|| panic!("head declares its body length: {head}"))
+            .parse()
+            .unwrap()
+    };
+    let probe = read_head(&mut conn);
+    assert!(probe.starts_with("HTTP/1.1 200 OK\r\n"), "{probe}");
+    assert!(
+        probe.contains("Content-Type: application/x-javascript\r\n"),
+        "{probe}"
+    );
+    let script_len = content_length(&probe);
+    assert!(script_len > 0, "{probe}");
+    let blocked = read_head(&mut conn);
+    assert!(
+        blocked.starts_with("HTTP/1.1 403 Forbidden\r\n"),
+        "{blocked}"
+    );
+    assert_eq!(content_length(&blocked), 0);
+    let admin = read_head(&mut conn);
+    assert!(admin.starts_with("HTTP/1.1 200 OK\r\n"), "{admin}");
+    assert!(content_length(&admin) > 0, "{admin}");
+    let script = client::read_response(&mut conn).unwrap();
+    assert_eq!(script.status(), StatusCode::OK);
+    assert_eq!(
+        script.body().len(),
+        script_len,
+        "the regenerated script is the body HEAD described"
+    );
+    assert!(body_str(&script).contains("new Image()"));
+    fx.finish();
+}
+
+/// Status codes the gateway has no business with pass through as the
+/// origin sent them: a `206` range answer with its `Content-Range`, and
+/// a `301` with its `Location`.
+#[test]
+fn partial_content_and_redirects_pass_through() {
+    let origin = scripted_origin(vec![
+        b"HTTP/1.1 206 Partial Content\r\nContent-Type: image/png\r\n\
+          Content-Range: bytes 0-3/100\r\nContent-Length: 4\r\n\r\nabcd"
+            .to_vec(),
+        b"HTTP/1.1 301 Moved Permanently\r\nLocation: http://site.example/new.html\r\n\
+          Content-Length: 0\r\n\r\n"
+            .to_vec(),
+    ]);
+    let fx = Fixture::with(
+        Gateway::builder().seed(40).build(),
+        |config| config.origin = Some(origin),
+        None,
+    );
+    let ua = "Mozilla/5.0 e2e-206-301";
+    let mut conn = TcpStream::connect(fx.addr).unwrap();
+    let partial = get_on(&mut conn, "/big.png", ua);
+    assert_eq!(partial.status(), StatusCode::new(206).unwrap());
+    assert_eq!(
+        partial.headers().get("Content-Range"),
+        Some("bytes 0-3/100")
+    );
+    assert_eq!(partial.body(), b"abcd");
+    let moved = get_on(&mut conn, "/old.html", ua);
+    assert_eq!(moved.status(), StatusCode::MOVED_PERMANENTLY);
+    assert_eq!(moved.location(), Some("http://site.example/new.html"));
+    assert!(moved.body().is_empty());
+    fx.finish();
+}
+
+/// A binary body just under the buffered path's cap
+/// ([`botwall_serve::frame::MAX_FRAME_BYTES`], head included) is relayed
+/// whole, byte for byte.
+#[test]
+fn binary_body_just_under_the_buffered_cap_is_served() {
+    let body: Vec<u8> = (0..botwall_serve::frame::MAX_FRAME_BYTES - 1024)
+        .map(|i| (i * 7 % 251) as u8)
+        .collect();
+    let origin = MockOrigin::new()
+        .asset("/large.png", "image/png", body.clone())
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(41).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let response = get(fx.addr, "/large.png", "Mozilla/5.0 e2e-near-cap");
+    assert_eq!(response.status(), StatusCode::OK);
+    assert_eq!(response.content_type(), Some("image/png"));
+    assert!(
+        response.body() == body.as_slice(),
+        "body relayed byte for byte"
+    );
+    fx.finish();
+}
+
+/// Pins today's behaviour past the cap: a non-HTML body over
+/// [`botwall_serve::frame::MAX_FRAME_BYTES`] answers 502, because only
+/// `200 text/html` streams and every other answer is buffered whole.
+/// ROADMAP item 3 (stream every origin body) flips this test to expect
+/// a 200 and the whole body.
+#[test]
+fn binary_body_over_the_buffered_cap_answers_502() {
+    let body = vec![0xA5u8; botwall_serve::frame::MAX_FRAME_BYTES + 1];
+    let origin = MockOrigin::new()
+        .asset("/huge.png", "image/png", body)
+        .start()
+        .unwrap();
+    let origin_addr = origin.addr();
+    let fx = Fixture::with(
+        Gateway::builder().seed(42).build(),
+        |config| config.origin = Some(origin_addr),
+        Some(origin),
+    );
+    let response = get(fx.addr, "/huge.png", "Mozilla/5.0 e2e-over-cap");
+    assert_eq!(response.status(), StatusCode::BAD_GATEWAY);
+    fx.finish();
+}
